@@ -9,6 +9,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/autoscale"
@@ -527,7 +528,12 @@ func TestScalerTierMatchesLegacyReactiveConfig(t *testing.T) {
 
 // TestBoundedSummaryConsistent: the bounded memory model must agree with
 // the exact one on counts and moments (identical Add sequences feed the
-// same Welford stream) and approximate its quantiles.
+// same Welford stream), and its p50/p95/p99 must be within
+// stats.BoundedAlpha of the exact order statistic. The topology half
+// holds every preset to that bound on the run, tier and class digests,
+// serially and sharded, and requires the sharded bounded digests to
+// equal the 1-shard ones bit for bit at every shard count and backend,
+// so merging per-site sketches adds no tail bias.
 func TestBoundedSummaryConsistent(t *testing.T) {
 	tr := equivalenceTrace(104)
 	sc, _ := netem.ScenarioByName("typical-25ms")
@@ -545,9 +551,91 @@ func TestBoundedSummaryConsistent(t *testing.T) {
 	if got.EndToEnd.Max() != exact.EndToEnd.Quantile(1) {
 		t.Errorf("bounded max %v != exact %v", got.EndToEnd.Max(), exact.EndToEnd.Quantile(1))
 	}
-	ep, bp := exact.P95Latency(), got.P95Latency()
-	if rel := abs(bp-ep) / ep; rel > 0.05 {
-		t.Errorf("bounded p95 %v vs exact %v (rel err %.3f)", bp, ep, rel)
+	boundedWithinAlpha(t, "edge", &got.EndToEnd, &exact.EndToEnd)
+
+	for _, preset := range TopologyPresets() {
+		topo, _ := PresetTopology(preset)
+		spec := GenSpec{Sites: topo.Tiers[0].Sites, Duration: 300, PerSiteRate: 9, Seed: 17}
+		opts := func(mode stats.Mode, pipeline bool) Options {
+			return Options{Warmup: 30, Seed: 17, Summary: mode, Pipeline: pipeline}
+		}
+		serial := func(mode stats.Mode) *TopologyResult {
+			res, err := Run(Stream(spec), topo, opts(mode, false))
+			if err != nil {
+				t.Fatalf("%s serial: %v", preset, err)
+			}
+			return res
+		}
+		sharded := func(mode stats.Mode, shards int, pipeline bool) *TopologyResult {
+			res, err := RunSharded(GenShards(spec), topo, opts(mode, pipeline), shards)
+			if err != nil {
+				t.Fatalf("%s at %d shards: %v", preset, shards, err)
+			}
+			return res
+		}
+		if ex := serial(stats.Exact); ex.Completed == 0 {
+			t.Fatalf("%s: nothing completed; test is vacuous", preset)
+		} else {
+			eachEndToEnd(t, preset+"/serial", serial(stats.Bounded), ex, boundedWithinAlpha)
+		}
+		one := sharded(stats.Bounded, 1, false)
+		eachEndToEnd(t, preset+"/shards", one, sharded(stats.Exact, 1, false), boundedWithinAlpha)
+		for _, shards := range []int{1, 2, 4} {
+			for _, pipeline := range []bool{false, true} {
+				name := fmt.Sprintf("%s/shards-%d/pipeline-%v", preset, shards, pipeline)
+				eachEndToEnd(t, name, sharded(stats.Bounded, shards, pipeline), one, sameDigest)
+			}
+		}
+	}
+}
+
+// eachEndToEnd applies check to the run, tier and class end-to-end
+// digests of got against the matching digests of want.
+func eachEndToEnd(t *testing.T, name string, got, want *TopologyResult,
+	check func(t *testing.T, name string, got, want *stats.Digest)) {
+	t.Helper()
+	check(t, name+"/run", &got.EndToEnd, &want.EndToEnd)
+	for i := range want.Tiers {
+		g, w := &got.Tiers[i], &want.Tiers[i]
+		check(t, name+"/"+w.Name, &g.EndToEnd, &w.EndToEnd)
+		for c := range w.Classes {
+			check(t, name+"/"+w.Name+"/"+w.Classes[c].Name, &g.Classes[c].EndToEnd, &w.Classes[c].EndToEnd)
+		}
+	}
+}
+
+// boundedWithinAlpha: got (bounded) reads p50/p95/p99 within
+// stats.BoundedAlpha of the rank-⌊q(n−1)⌋ order statistic of want
+// (exact), over the same observations.
+func boundedWithinAlpha(t *testing.T, name string, got, want *stats.Digest) {
+	t.Helper()
+	if got.N() != want.N() || got.Mean() != want.Mean() {
+		t.Fatalf("%s: bounded n/mean %d/%v != exact %d/%v", name, got.N(), got.Mean(), want.N(), want.Mean())
+	}
+	xs := want.Values()
+	if len(xs) == 0 {
+		return
+	}
+	for _, q := range []float64{0.5, 0.95, 0.99} {
+		b, e := got.Quantile(q), xs[int(q*float64(len(xs)-1))]
+		if abs(b-e) > stats.BoundedAlpha*abs(e) {
+			t.Errorf("%s: bounded p%v %v vs exact %v (rel err %.4f)", name, q*100, b, e, abs(b-e)/e)
+		}
+	}
+}
+
+// sameDigest: got and want agree bit for bit on count, moments and
+// every percentile from 1 to 99.
+func sameDigest(t *testing.T, name string, got, want *stats.Digest) {
+	t.Helper()
+	if got.N() != want.N() || got.Mean() != want.Mean() || got.Min() != want.Min() || got.Max() != want.Max() {
+		t.Fatalf("%s: n/mean/min/max diverge", name)
+	}
+	gs, ws := got.Summarize(name, nil), want.Summarize(name, nil)
+	for i, w := range ws.Quantiles {
+		if g := gs.Quantiles[i]; math.Float64bits(g.Value) != math.Float64bits(w.Value) {
+			t.Errorf("%s: q=%v %v != 1-shard %v", name, w.Q, g.Value, w.Value)
+		}
 	}
 }
 

@@ -53,8 +53,8 @@ type EdgeConfig struct {
 	// Summary selects the latency-collection memory model: stats.Exact
 	// (default) retains every observation for exact quantiles;
 	// stats.Bounded keeps constant state per collector (running moments
-	// plus P² quantile estimates), the right choice for replays of
-	// millions of requests.
+	// plus an 8 KiB quantile sketch accurate to stats.BoundedAlpha), the
+	// right choice for replays of millions of requests.
 	Summary stats.Mode
 
 	// probe, when set by tests, observes the event-calendar size at

@@ -10,10 +10,11 @@ const (
 	// O(N) memory. The right choice for small runs and for figures that
 	// need full distributions (box-plot outliers, violin curves).
 	Exact Mode = iota
-	// Bounded keeps O(1) state: running moments via Stream plus P²
-	// streaming estimators at fixed probe quantiles. The right choice
-	// for long trace replays where retaining millions of latencies
-	// would dominate memory.
+	// Bounded keeps O(1) state: running moments via Stream plus a
+	// log-bucketed quantile sketch of 8 KiB whose quantiles are within
+	// BoundedAlpha (2⁻⁷ ≈ 0.78 %) of the true order statistic. The right
+	// choice for long trace replays where retaining millions of
+	// latencies would dominate memory.
 	Bounded
 )
 
@@ -25,14 +26,19 @@ func (m Mode) String() string {
 	return "exact"
 }
 
-// digestProbes are the quantiles tracked in Bounded mode. P95 and P99
-// are the paper's tail metrics; the quartiles feed box plots.
-var digestProbes = [...]float64{0.25, 0.5, 0.75, 0.9, 0.95, 0.99}
-
 // Digest is a latency collector with a selectable memory model: Exact
 // mode wraps a Sample (every observation retained), Bounded mode keeps
-// running moments and P² quantile estimates in constant space. The zero
+// running moments and a quantile sketch in constant space. The zero
 // value is an empty Exact digest, ready to use.
+//
+// The bounded sketch splits each octave into 64 buckets and reports a
+// bucket's midpoint, so a quantile is within BoundedAlpha of the order
+// statistic it estimates. It holds a fixed window of 1024 buckets
+// (16 octaves, 8 KiB) below the largest observation; values more than
+// 16 octaves below the maximum collapse into the window's lowest bucket,
+// and values ≤ 0 are counted as 0. Merging two bounded digests adds
+// their buckets, so it is exact: the result equals one digest fed every
+// observation, whatever the merge order.
 //
 // A Digest is a value type but shares internal state with its copies;
 // copy one only after the run that fills it has finished.
@@ -40,13 +46,7 @@ type Digest struct {
 	mode   Mode
 	stream Stream  // moments, min/max, count — maintained in both modes
 	sample *Sample // Exact mode, lazily allocated
-	p2     *[len(digestProbes)]*P2Quantile
-
-	// Merging two bounded digests cannot replay observations through
-	// the P² estimators, so foreign data folds into a count-weighted
-	// overlay of probe estimates instead.
-	mergedQ [len(digestProbes)]float64
-	mergedN int64
+	sketch sketch  // Bounded mode
 }
 
 // NewDigest returns a digest in the given mode. In Exact mode sizeHint
@@ -56,23 +56,12 @@ func NewDigest(mode Mode, sizeHint int) Digest {
 	if mode == Exact && sizeHint > 0 {
 		d.sample = NewSample(sizeHint)
 	}
-	if mode == Bounded {
-		d.initP2()
-	}
 	return d
 }
 
-func (d *Digest) initP2() {
-	var bank [len(digestProbes)]*P2Quantile
-	for i, p := range digestProbes {
-		bank[i] = NewP2Quantile(p)
-	}
-	d.p2 = &bank
-}
-
 // SetBounded switches an empty digest to Bounded mode. Switching after
-// observations have been recorded panics: the retained data cannot be
-// replayed through the streaming estimators.
+// observations have been recorded panics; Merge is the way to fold
+// retained observations into a sketch.
 func (d *Digest) SetBounded() {
 	if d.mode == Bounded {
 		return
@@ -82,7 +71,6 @@ func (d *Digest) SetBounded() {
 	}
 	d.mode = Bounded
 	d.sample = nil
-	d.initP2()
 }
 
 // Mode reports the digest's memory model.
@@ -92,9 +80,7 @@ func (d *Digest) Mode() Mode { return d.mode }
 func (d *Digest) Add(x float64) {
 	d.stream.Add(x)
 	if d.mode == Bounded {
-		for _, est := range d.p2 {
-			est.Add(x)
-		}
+		d.sketch.add(x)
 		return
 	}
 	if d.sample == nil {
@@ -104,42 +90,34 @@ func (d *Digest) Add(x float64) {
 }
 
 // Merge folds other into d. Two Exact digests merge exactly. When either
-// side is Bounded the moments (mean, variance, min, max, count) still
-// merge exactly, but quantiles become a count-weighted combination of
-// the two sides' probe estimates — an approximation adequate for the
-// aggregate wait summaries it serves.
+// side is Bounded the result is Bounded: retained observations of an
+// Exact side are replayed into the sketch, and sketches merge by adding
+// buckets, so quantiles equal those of one bounded digest fed every
+// observation. Moments merge exactly in every case.
 func (d *Digest) Merge(other *Digest) {
 	if other.stream.N() == 0 {
 		return
 	}
-	if d.mode == Exact && other.mode == Exact {
-		d.stream.Merge(&other.stream)
-		if other.sample != nil {
-			if d.sample == nil {
-				d.sample = &Sample{}
+	if d.mode == Exact {
+		if other.mode == Exact {
+			d.stream.Merge(&other.stream)
+			if other.sample != nil {
+				if d.sample == nil {
+					d.sample = &Sample{}
+				}
+				d.sample.Merge(other.sample)
 			}
-			d.sample.Merge(other.sample)
+			return
 		}
-		return
+		retained := d.sample
+		d.mode, d.sample = Bounded, nil
+		d.sketch.addSample(retained)
 	}
-	// At least one side is bounded: snapshot both sides' probe
-	// estimates, rebuild the overlay as their count-weighted average,
-	// and reset the live estimators (their information now lives in the
-	// overlay).
-	dN, oN := d.stream.N(), other.stream.N()
-	for i, p := range digestProbes {
-		ov := other.Quantile(p)
-		if dN == 0 {
-			d.mergedQ[i] = ov
-			continue
-		}
-		dv := d.Quantile(p)
-		d.mergedQ[i] = (dv*float64(dN) + ov*float64(oN)) / float64(dN+oN)
+	if other.mode == Exact {
+		d.sketch.addSample(other.sample)
+	} else {
+		d.sketch.merge(&other.sketch)
 	}
-	d.mergedN = dN + oN
-	d.mode = Bounded
-	d.sample = nil
-	d.initP2()
 	d.stream.Merge(&other.stream)
 }
 
@@ -162,8 +140,9 @@ func (d *Digest) Min() float64 { return d.stream.Min() }
 func (d *Digest) Max() float64 { return d.stream.Max() }
 
 // Quantile returns the q-th quantile. Exact mode computes it from the
-// retained sample; Bounded mode interpolates between the tracked probe
-// estimates, anchored at the true min and max.
+// retained sample. Bounded mode estimates the order statistic of rank
+// ⌊q(n−1)⌋ by its bucket's midpoint, clamped to [Min, Max]. Ranks 0 and
+// n−1 are Min and Max exactly, as are q ≤ 0 (or NaN) and q ≥ 1.
 func (d *Digest) Quantile(q float64) float64 {
 	if d.mode == Exact {
 		if d.sample == nil {
@@ -171,47 +150,19 @@ func (d *Digest) Quantile(q float64) float64 {
 		}
 		return d.sample.Quantile(q)
 	}
-	if d.stream.N() == 0 {
+	n := d.stream.N()
+	if n == 0 {
 		return 0
 	}
-	if q <= 0 {
-		return d.stream.Min()
-	}
-	if q >= 1 {
-		return d.stream.Max()
-	}
-	// Piecewise-linear through (0, min), (probe_i, est_i)..., (1, max).
-	prevQ, prevV := 0.0, d.stream.Min()
-	for i, p := range digestProbes {
-		v := d.probeValue(i)
-		if q <= p {
-			return interp(q, prevQ, prevV, p, v)
-		}
-		prevQ, prevV = p, v
-	}
-	return interp(q, prevQ, prevV, 1, d.stream.Max())
-}
-
-// probeValue returns the digest's estimate at digestProbes[i], blending
-// the live P² estimator with the merge overlay when both hold data.
-func (d *Digest) probeValue(i int) float64 {
-	own := int64(d.p2[i].N())
+	lo, hi := d.stream.Min(), d.stream.Max()
+	rank := q * float64(n-1)
 	switch {
-	case d.mergedN == 0:
-		return d.p2[i].Value()
-	case own == 0:
-		return d.mergedQ[i]
-	default:
-		return (d.p2[i].Value()*float64(own) + d.mergedQ[i]*float64(d.mergedN)) /
-			float64(own+d.mergedN)
+	case !(rank >= 1):
+		return lo
+	case rank >= float64(n-1):
+		return hi
 	}
-}
-
-func interp(q, q0, v0, q1, v1 float64) float64 {
-	if q1 <= q0 {
-		return v1
-	}
-	return v0 + (q-q0)/(q1-q0)*(v1-v0)
+	return min(max(d.sketch.value(uint64(rank)), lo), hi)
 }
 
 // Median returns the 50th percentile.
@@ -243,7 +194,7 @@ func (d *Digest) ExactSample() *Sample {
 
 // Box computes the box-plot summary. Exact mode delegates to BoxPlotOf
 // (including outlier counting); Bounded mode builds the five-number
-// summary from the probe estimates with no outlier count.
+// summary from sketch quantiles with no outlier count.
 func (d *Digest) Box(label string) BoxPlot {
 	if d.mode == Exact {
 		if d.sample == nil {
@@ -268,7 +219,7 @@ func (d *Digest) Box(label string) BoxPlot {
 }
 
 // Summarize computes a DistSummary at the given probes (nil = 1%..99%).
-// Bounded mode interpolates each probe from the digest's estimates.
+// Bounded mode reads each probe from the sketch.
 func (d *Digest) Summarize(label string, probes []float64) DistSummary {
 	if d.mode == Exact {
 		s := d.sample

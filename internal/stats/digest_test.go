@@ -60,10 +60,10 @@ func TestDigestBoundedQuantileAccuracy(t *testing.T) {
 		e.Add(x)
 	}
 	for _, q := range []float64{0.25, 0.5, 0.75, 0.95, 0.99} {
-		exact := e.Quantile(q)
+		exact := orderStat(e.Values(), q)
 		approx := d.Quantile(q)
-		if rel := math.Abs(approx-exact) / exact; rel > 0.05 {
-			t.Errorf("q=%v: bounded %v vs exact %v (rel err %.3f)", q, approx, exact, rel)
+		if rel := math.Abs(approx-exact) / exact; rel > BoundedAlpha {
+			t.Errorf("q=%v: bounded %v vs exact %v (rel err %.4f)", q, approx, exact, rel)
 		}
 	}
 	if d.Quantile(0) != e.Quantile(0) || d.Quantile(1) != e.Quantile(1) {
@@ -130,8 +130,8 @@ func TestDigestBoundedMerge(t *testing.T) {
 		t.Errorf("merged mean %v vs exact %v", a.Mean(), all.Mean())
 	}
 	for _, q := range []float64{0.5, 0.95} {
-		exact := all.Quantile(q)
-		if rel := math.Abs(a.Quantile(q)-exact) / exact; rel > 0.1 {
+		exact := orderStat(all.Values(), q)
+		if rel := math.Abs(a.Quantile(q)-exact) / exact; rel > BoundedAlpha {
 			t.Errorf("merged q=%v: %v vs exact %v", q, a.Quantile(q), exact)
 		}
 	}
@@ -157,8 +157,8 @@ func TestDigestMergeIntoEmpty(t *testing.T) {
 	if a.Mean() != b.Mean() {
 		t.Error("merge into empty digest should preserve the mean exactly")
 	}
-	if math.Abs(a.Quantile(0.5)-b.Quantile(0.5)) > 1e-12 {
-		t.Error("merge into empty digest should carry probe estimates over")
+	if a.Quantile(0.5) != b.Quantile(0.5) {
+		t.Error("merge into empty digest should carry the sketch over")
 	}
 }
 
