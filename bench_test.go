@@ -695,6 +695,26 @@ func BenchmarkStatsSampleQuantile(b *testing.B) {
 	}
 }
 
+// BenchmarkStatsExactReadout measures a replay's exact read-out: 10⁶
+// exponential latencies in random order are copied into a fresh Sample,
+// and its Median, P95 and P99 are read, as a report reads a run's
+// digest.
+func BenchmarkStatsExactReadout(b *testing.B) {
+	const n = 1_000_000
+	rng := sim.NewEngine(1).RNG()
+	lat := make([]float64, n)
+	for i := range lat {
+		lat[i] = rng.ExpFloat64()
+	}
+	s := stats.NewSample(n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Reset()
+		s.AddAll(lat)
+		_, _, _ = s.Median(), s.P95(), s.P99()
+	}
+}
+
 // BenchmarkStatsBoundedDigest measures one bounded-digest observation.
 func BenchmarkStatsBoundedDigest(b *testing.B) {
 	d := stats.NewDigest(stats.Bounded, 0)

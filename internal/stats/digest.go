@@ -139,10 +139,13 @@ func (d *Digest) Min() float64 { return d.stream.Min() }
 // Max returns the largest observation, or 0 when empty.
 func (d *Digest) Max() float64 { return d.stream.Max() }
 
-// Quantile returns the q-th quantile. Exact mode computes it from the
-// retained sample. Bounded mode estimates the order statistic of rank
-// ⌊q(n−1)⌋ by its bucket's midpoint, clamped to [Min, Max]. Ranks 0 and
-// n−1 are Min and Max exactly, as are q ≤ 0 (or NaN) and q ≥ 1.
+// Quantile returns the q-th quantile. Exact mode interpolates the
+// retained sample's order statistics (see Sample.Quantile): an O(n)
+// in-place selection until Values or a box plot or summary has sorted
+// the sample once. Bounded mode estimates the order statistic of rank
+// ⌊q(n−1)⌋ by its bucket's midpoint, clamped to [Min, Max]. In both
+// modes q ≤ 0 (or NaN) reads the minimum and q ≥ 1 the maximum, and in
+// Bounded mode ranks 0 and n−1 read Min and Max exactly.
 func (d *Digest) Quantile(q float64) float64 {
 	if d.mode == Exact {
 		if d.sample == nil {

@@ -125,21 +125,23 @@ func TestP2Deterministic(t *testing.T) {
 	}
 }
 
-// TestDigestQuantileClampsBadQ: a bounded digest reads Min for q below
-// 0 or NaN and Max for q above 1.
+// TestDigestQuantileClampsBadQ: in either mode a digest reads Min for
+// q below 0 or NaN and Max for q above 1.
 func TestDigestQuantileClampsBadQ(t *testing.T) {
-	d := NewDigest(Bounded, 0)
-	for _, x := range []float64{3, 1, 4, 1, 5, 9, 2, 6} {
-		d.Add(x)
-	}
-	for _, q := range []float64{-0.5, 0, math.NaN(), math.Inf(-1)} {
-		if got := d.Quantile(q); got != 1 {
-			t.Errorf("Quantile(%v) = %v, want min 1", q, got)
+	for _, mode := range []Mode{Exact, Bounded} {
+		d := NewDigest(mode, 0)
+		for _, x := range []float64{3, 1, 4, 1, 5, 9, 2, 6} {
+			d.Add(x)
 		}
-	}
-	for _, q := range []float64{1, 2, math.Inf(1)} {
-		if got := d.Quantile(q); got != 9 {
-			t.Errorf("Quantile(%v) = %v, want max 9", q, got)
+		for _, q := range []float64{-0.5, 0, math.NaN(), math.Inf(-1)} {
+			if got := d.Quantile(q); got != 1 {
+				t.Errorf("%v: Quantile(%v) = %v, want min 1", mode, q, got)
+			}
+		}
+		for _, q := range []float64{1, 2, math.Inf(1)} {
+			if got := d.Quantile(q); got != 9 {
+				t.Errorf("%v: Quantile(%v) = %v, want max 9", mode, q, got)
+			}
 		}
 	}
 }

@@ -28,6 +28,7 @@ func BoxPlotOf(label string, s *Sample) BoxPlot {
 	if s.N() == 0 {
 		return bp
 	}
+	xs := s.Values() // sort once: five probes and the outlier scan follow
 	bp.Min = s.Quantile(0)
 	bp.Q1 = s.Quantile(0.25)
 	bp.Median = s.Quantile(0.5)
@@ -37,7 +38,7 @@ func BoxPlotOf(label string, s *Sample) BoxPlot {
 	iqr := bp.Q3 - bp.Q1
 	bp.LowerFence = math.Max(bp.Min, bp.Q1-1.5*iqr)
 	bp.UpperFence = math.Min(bp.Max, bp.Q3+1.5*iqr)
-	for _, x := range s.Values() {
+	for _, x := range xs {
 		if x < bp.LowerFence || x > bp.UpperFence {
 			bp.Outliers++
 		}
@@ -84,6 +85,7 @@ func SummarizeDist(label string, s *Sample, probes []float64) DistSummary {
 	if d.Mean != 0 {
 		d.CoV = d.StdDev / d.Mean
 	}
+	s.Values() // sort once rather than select once per probe
 	for _, q := range probes {
 		d.Quantiles = append(d.Quantiles, QuantilePoint{Q: q, Value: s.Quantile(q)})
 	}
