@@ -434,10 +434,10 @@ func BenchmarkStream100M(b *testing.B) {
 // BenchmarkShardedReplay1M measures the sharded topology replay on a
 // ~10⁶-request three-tier hierarchy at shard counts 1/2/4/8, next to
 // the single-engine cluster.Run on the identical workload. benchjson
-// turns the shards-N sub-bench timings into BENCH_PR7.json's
-// shard-scaling curve; sharded results are bit-identical across counts
-// (the shard-determinism suite asserts it), so the curve measures
-// wall-clock alone. Speedup beyond shards-1 needs real cores: on a
+// turns the pipelined/shards-N sub-bench timings into BENCH_PR7.json's
+// shard-scaling curve (family ".../pipelined"); sharded results are
+// bit-identical across counts (the shard-determinism suite asserts it),
+// so the curve measures wall-clock alone. Speedup beyond shards-1 needs real cores: on a
 // single-CPU runner the goroutines serialize and the curve is flat. In
 // short mode (CI's short-bench step) the same pipeline replays 10⁵
 // requests. Run with -benchmem.
@@ -477,31 +477,14 @@ func BenchmarkShardedReplay1M(b *testing.B) {
 		}
 		b.ReportMetric(float64(offered), "requests")
 	})
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards-%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			var offered uint64
-			for i := 0; i < b.N; i++ {
-				res, err := cluster.RunSharded(cluster.GenShards(spec), topo, opts, n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				offered = res.Offered
-			}
-			b.ReportMetric(float64(offered), "requests")
-		})
-	}
-	// The pipelined backend on the identical workload: benchjson folds
-	// these into a second shard-scaling curve (family ".../pipelined"),
-	// so the artifact carries barrier and pipelined curves side by side.
-	popts := opts
-	popts.Pipeline = true
+	// The sub-benchmark names keep their "pipelined/" prefix so the
+	// committed BENCH_PR7.json rows still gate them.
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("pipelined/shards-%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			var offered uint64
 			for i := 0; i < b.N; i++ {
-				res, err := cluster.RunSharded(cluster.GenShards(spec), topo, popts, n)
+				res, err := cluster.RunSharded(cluster.GenShards(spec), topo, opts, n)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -543,16 +526,11 @@ func resetPeakRSS() {
 }
 
 // BenchmarkShowcaseMillionSites replays 10⁸ requests through a
-// million-station edge backed by a shared cloud pool — the pipelined
-// tentpole's target scale — on the barrier and pipelined sharded
-// backends (bit-identical results; the equivalence suite asserts it at
-// small scale). Reported metrics: peak RSS (the pipelined run's
-// boundary memory is bounded by ring capacity where the barrier run
-// holds every boundary record of the slowest shard's span) and, for
-// the pipelined run, the peak resident boundary backlog. Speedup vs
-// barrier needs real cores (CI's multi-core bench job); on one CPU the
-// phases serialize and only the memory bound shows. In short mode the
-// same pipeline runs 10⁶ requests over 10⁴ sites. Run with -benchmem.
+// million-station edge backed by a shared cloud pool on the sharded
+// replay. Reported metrics: peak RSS (boundary memory is bounded by
+// ring capacity, not by the boundary count) and the peak resident
+// boundary backlog. In short mode the same pipeline runs 10⁶ requests
+// over 10⁴ sites. Run with -benchmem.
 func BenchmarkShowcaseMillionSites(b *testing.B) {
 	sites := 1_000_000
 	if testing.Short() {
@@ -573,33 +551,19 @@ func BenchmarkShowcaseMillionSites(b *testing.B) {
 		},
 	}
 	const shards = 4
-	opts := cluster.Options{
-		Warmup: 2, Seed: 98, Summary: stats.Bounded, NoPerSiteLatency: true,
-	}
-	b.Run("barrier", func(b *testing.B) {
-		b.ReportAllocs()
-		resetPeakRSS()
-		var offered uint64
-		for i := 0; i < b.N; i++ {
-			res, err := cluster.RunSharded(cluster.GenShards(spec), topo, opts, shards)
-			if err != nil {
-				b.Fatal(err)
-			}
-			offered = res.Offered
-		}
-		b.ReportMetric(float64(offered), "requests")
-		b.ReportMetric(peakRSSMB(b), "peak-RSS-MB")
-	})
+	// The sub-benchmark keeps its "pipelined" name so the committed
+	// BENCH_PR7.json row still gates it.
 	b.Run("pipelined", func(b *testing.B) {
 		b.ReportAllocs()
 		resetPeakRSS()
-		popts := opts
-		popts.Pipeline = true
 		var backlog int
-		popts.BacklogProbe = func(p int) { backlog = p }
+		opts := cluster.Options{
+			Warmup: 2, Seed: 98, Summary: stats.Bounded, NoPerSiteLatency: true,
+			BacklogProbe: func(p int) { backlog = p },
+		}
 		var offered uint64
 		for i := 0; i < b.N; i++ {
-			res, err := cluster.RunSharded(cluster.GenShards(spec), topo, popts, shards)
+			res, err := cluster.RunSharded(cluster.GenShards(spec), topo, opts, shards)
 			if err != nil {
 				b.Fatal(err)
 			}

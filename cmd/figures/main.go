@@ -16,6 +16,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -40,6 +41,38 @@ func main() {
 	workers := flag.Int("workers", 0, "worker pool size for sweep points and replications (0 = all CPUs, 1 = serial)")
 	flag.Parse()
 
+	// The registered figures, in the order -fig all renders them.
+	figures := []struct {
+		name string
+		fn   func()
+	}{
+		{"2", func() { fig2(*seed) }},
+		{"3", func() { fig345("3", "typical-25ms", experiments.Mean, *duration, *seed, *csvDir) }},
+		{"4", func() { fig345("4", "distant-54ms", experiments.Mean, *duration, *seed, *csvDir) }},
+		{"5", func() { fig345("5", "distant-54ms", experiments.P95, *duration, *seed, *csvDir) }},
+		{"6", func() { fig6(*duration, *seed) }},
+		{"7", func() { fig7(*duration, *seed) }},
+		{"8", func() { fig8(*seed, *csvDir) }},
+		{"9", func() { fig910(*seed, true) }},
+		{"10", func() { fig910(*seed, false) }},
+		{"three-tier", func() { threeTier(*duration, *seed, *csvDir) }},
+		{"scaler", func() { scalerFrontier(*duration, *seed, *csvDir) }},
+		{"grid", func() { gridSurface(*duration, *seed, *csvDir) }},
+		{"validation", func() { validation(*duration, *seed) }},
+		{"capacity", func() { capacity() }},
+		{"tail", func() { tailAnalytic() }},
+		{"cost", func() { cost() }},
+		{"admission", func() { admissionCost(*duration, *seed, *csvDir) }},
+	}
+	names := []string{"all"}
+	for _, f := range figures {
+		names = append(names, f.name)
+	}
+	if !slices.Contains(names, *fig) {
+		fmt.Fprintf(os.Stderr, "figures: unknown -fig %q (want one of %s)\n", *fig, strings.Join(names, ", "))
+		os.Exit(2)
+	}
+
 	if *workers > 0 {
 		experiments.DefaultWorkers = *workers
 	}
@@ -51,30 +84,12 @@ func main() {
 		}
 	}
 
-	run := func(name string, fn func()) {
-		if *fig == "all" || *fig == name {
-			fmt.Printf("\n================ Figure/Table %s ================\n", name)
-			fn()
+	for _, f := range figures {
+		if *fig == "all" || *fig == f.name {
+			fmt.Printf("\n================ Figure/Table %s ================\n", f.name)
+			f.fn()
 		}
 	}
-
-	run("2", func() { fig2(*seed) })
-	run("3", func() { fig345("3", "typical-25ms", experiments.Mean, *duration, *seed, *csvDir) })
-	run("4", func() { fig345("4", "distant-54ms", experiments.Mean, *duration, *seed, *csvDir) })
-	run("5", func() { fig345("5", "distant-54ms", experiments.P95, *duration, *seed, *csvDir) })
-	run("6", func() { fig6(*duration, *seed) })
-	run("7", func() { fig7(*duration, *seed) })
-	run("8", func() { fig8(*seed, *csvDir) })
-	run("9", func() { fig910(*seed, true) })
-	run("10", func() { fig910(*seed, false) })
-	run("three-tier", func() { threeTier(*duration, *seed, *csvDir) })
-	run("scaler", func() { scalerFrontier(*duration, *seed, *csvDir) })
-	run("grid", func() { gridSurface(*duration, *seed, *csvDir) })
-	run("validation", func() { validation(*duration, *seed) })
-	run("capacity", func() { capacity() })
-	run("tail", func() { tailAnalytic() })
-	run("cost", func() { cost() })
-	run("admission", func() { admissionCost(*duration, *seed, *csvDir) })
 }
 
 // admissionCost renders the rejection-vs-cost trade: one overloaded

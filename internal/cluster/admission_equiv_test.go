@@ -3,7 +3,7 @@ package cluster_test
 // Admission control must not perturb determinism: admission-off runs
 // stay bit-identical to runs with a no-op policy, and admission-on
 // runs are byte-identical across the serial, sharded (every shard
-// count), pipelined and broadcast backends. Every policy is a
+// count) and broadcast backends. Every policy is a
 // deterministic function of the arrival sequence it observes, so these
 // suites are the proof the -admit flag rests on.
 
@@ -43,8 +43,8 @@ func admissionSpec(sites int, seed int64) cluster.GenSpec {
 }
 
 // TestAdmissionShardCountInvariance: admission-enabled sharded runs
-// are bit-identical for every shard count and for the pipelined
-// backend, across warmup and summary modes. Token-bucket state is
+// are bit-identical for every shard count and to the RunBarrier
+// oracle, across warmup and summary modes. Token-bucket state is
 // per-site and shared-tier policies observe the canonical merged
 // order, so no partition can change a single admission decision.
 func TestAdmissionShardCountInvariance(t *testing.T) {
@@ -65,22 +65,26 @@ func TestAdmissionShardCountInvariance(t *testing.T) {
 			{"exact-warmup", 30, stats.Exact},
 			{"bounded", 0, stats.Bounded},
 		} {
-			run := func(shards int, pipeline bool) *cluster.TopologyResult {
-				res, err := cluster.RunSharded(cluster.GenShards(admissionSpec(sites, seed)), topo,
+			run := func(shards int, barrier bool) *cluster.TopologyResult {
+				replay := cluster.RunSharded
+				if barrier {
+					replay = cluster.RunBarrier
+				}
+				res, err := replay(cluster.GenShards(admissionSpec(sites, seed)), topo,
 					cluster.Options{Warmup: tc.warmup, Seed: seed, Summary: tc.mode,
-						Pricing: &pricing, Pipeline: pipeline}, shards)
+						Pricing: &pricing}, shards)
 				if err != nil {
 					t.Fatalf("%s/shards=%d: %v", tc.label, shards, err)
 				}
 				return res
 			}
-			want := run(1, false)
+			want := run(1, true)
 			if want.Rejected == 0 {
 				t.Fatalf("%s: no rejections; test is vacuous", tc.label)
 			}
 			for _, shards := range []int{2, 3, 5} {
+				compareTopologyResults(t, tc.label+"/barrier", want, run(shards, true))
 				compareTopologyResults(t, tc.label+"/shards", want, run(shards, false))
-				compareTopologyResults(t, tc.label+"/pipelined", want, run(shards, true))
 			}
 		}
 	}

@@ -556,18 +556,22 @@ func TestBoundedSummaryConsistent(t *testing.T) {
 	for _, preset := range TopologyPresets() {
 		topo, _ := PresetTopology(preset)
 		spec := GenSpec{Sites: topo.Tiers[0].Sites, Duration: 300, PerSiteRate: 9, Seed: 17}
-		opts := func(mode stats.Mode, pipeline bool) Options {
-			return Options{Warmup: 30, Seed: 17, Summary: mode, Pipeline: pipeline}
+		opts := func(mode stats.Mode) Options {
+			return Options{Warmup: 30, Seed: 17, Summary: mode}
 		}
 		serial := func(mode stats.Mode) *TopologyResult {
-			res, err := Run(Stream(spec), topo, opts(mode, false))
+			res, err := Run(Stream(spec), topo, opts(mode))
 			if err != nil {
 				t.Fatalf("%s serial: %v", preset, err)
 			}
 			return res
 		}
-		sharded := func(mode stats.Mode, shards int, pipeline bool) *TopologyResult {
-			res, err := RunSharded(GenShards(spec), topo, opts(mode, pipeline), shards)
+		sharded := func(mode stats.Mode, shards int, barrier bool) *TopologyResult {
+			replay := RunSharded
+			if barrier {
+				replay = RunBarrier
+			}
+			res, err := replay(GenShards(spec), topo, opts(mode), shards)
 			if err != nil {
 				t.Fatalf("%s at %d shards: %v", preset, shards, err)
 			}
@@ -578,12 +582,12 @@ func TestBoundedSummaryConsistent(t *testing.T) {
 		} else {
 			eachEndToEnd(t, preset+"/serial", serial(stats.Bounded), ex, boundedWithinAlpha)
 		}
-		one := sharded(stats.Bounded, 1, false)
-		eachEndToEnd(t, preset+"/shards", one, sharded(stats.Exact, 1, false), boundedWithinAlpha)
+		one := sharded(stats.Bounded, 1, true)
+		eachEndToEnd(t, preset+"/shards", one, sharded(stats.Exact, 1, true), boundedWithinAlpha)
 		for _, shards := range []int{1, 2, 4} {
-			for _, pipeline := range []bool{false, true} {
-				name := fmt.Sprintf("%s/shards-%d/pipeline-%v", preset, shards, pipeline)
-				eachEndToEnd(t, name, sharded(stats.Bounded, shards, pipeline), one, sameDigest)
+			for _, barrier := range []bool{true, false} {
+				name := fmt.Sprintf("%s/shards-%d/barrier-%v", preset, shards, barrier)
+				eachEndToEnd(t, name, sharded(stats.Bounded, shards, barrier), one, sameDigest)
 			}
 		}
 	}

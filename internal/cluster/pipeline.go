@@ -10,7 +10,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Pipelined sharded replay overlaps the two phases of RunSharded
+// RunSharded overlaps the two phases of a sharded replay (shard.go)
 // instead of barriering between them:
 //
 //		shard 0  ──captures──▶ ring 0 ─┐
@@ -32,8 +32,9 @@ import (
 //	  - Each phase-2 engine replays its records through a pump event that
 //	    blocks inside its callback until the merger supplies the next
 //	    record, so the engine can never run ahead of the merge: it sees
-//	    exactly the event sequence the barrier backend replays, which is
-//	    why the results are byte-identical by construction.
+//	    exactly the event sequence of one engine fed the fully sorted
+//	    boundary stream, which is why the results match the RunBarrier
+//	    test oracle byte for byte.
 //
 // Memory: ring backpressure (Push blocks when full) bounds resident
 // boundary records by ring capacity, not boundary count; the pending
@@ -228,8 +229,9 @@ func phase2Partitions(topo Topology, plan shardPlan) (parts [][]int, compOf []in
 // runPhase2Pump replays one partition's share of the merged boundary
 // stream on its engine. The pump event blocks inside its callback until
 // the next record is known, so the engine processes events in exactly
-// the order the barrier backend would — including autoscaler ticks,
-// which fire only once the clock is allowed to reach them.
+// the order a single engine fed the sorted stream would — including
+// autoscaler ticks, which fire only once the clock is allowed to reach
+// them.
 func runPhase2Pump(b *p2build, feed <-chan []p2rec, free chan<- []p2rec, total *uint64, gauge *backlogGauge) {
 	var (
 		buf     []p2rec
@@ -310,25 +312,26 @@ func runPhase2Pump(b *p2build, feed <-chan []p2rec, free chan<- []p2rec, total *
 	}
 }
 
-// RunPipelined replays the source through the topology on `shards`
+// RunSharded replays the source through the topology on `shards`
 // parallel engines whose boundary records stream through watermarked
 // bounded rings into the shared phase while the shards are still
-// running. Results are byte-identical to RunSharded at every shard
-// count — the equivalence suite asserts it across presets, sources and
-// summary modes — while phase 2 overlaps phase 1 and resident boundary
-// memory is bounded by Options.PipelineRing instead of the boundary
-// count. Where the shared tiers split into independent spill components
-// (and none autoscale), each component replays on its own engine.
+// running. The result is bit-identical for every shard count
+// (including 1); shards <= 0 selects GOMAXPROCS and the count is
+// clamped to the site count. Resident boundary memory is bounded by
+// Options.PipelineRing, not by the boundary count. Where the shared
+// tiers split into independent spill components (and none autoscale),
+// each component replays on its own engine. See Shardable for what
+// disqualifies a topology.
 //
-// Options.TimelineBin and Options.Probe are rejected as in RunSharded;
+// Options.TimelineBin and Options.Probe are rejected: both observe
+// global event order, which sharding does not preserve.
 // Options.BacklogProbe, when set, receives the run's peak resident
 // boundary-record count.
-func RunPipelined(src ShardedSource, topo Topology, opts Options, shards int) (*TopologyResult, error) {
+func RunSharded(src ShardedSource, topo Topology, opts Options, shards int) (*TopologyResult, error) {
 	r, err := newShardRun(src, topo, opts, shards)
 	if err != nil {
 		return nil, err
 	}
-	opts = r.opts
 	ringCap := opts.PipelineRing
 	if ringCap <= 0 {
 		ringCap = defaultPipelineRing
@@ -435,4 +438,11 @@ func RunPipelined(src ShardedSource, topo Topology, opts Options, shards int) (*
 		opts.BacklogProbe(int(gauge.peak.Load()))
 	}
 	return finishSharded(r, builds, perSite), nil
+}
+
+// RunPipelined is the former name of RunSharded.
+//
+// Deprecated: use RunSharded, which is the same replay.
+func RunPipelined(src ShardedSource, topo Topology, opts Options, shards int) (*TopologyResult, error) {
+	return RunSharded(src, topo, opts, shards)
 }

@@ -1,12 +1,12 @@
 package cluster_test
 
-// The pipelined backend's contract is byte-identity with the barrier
-// backend: RunSharded with Options.Pipeline produces the same
-// TopologyResult as without, for every preset, seed, warmup and summary
-// mode, shard count, ring size and source adapter. These tests are the
-// proof the -pipeline flag rests on; the CI race job runs them under
-// -race to also certify the shard goroutines, the merger and the
-// phase-2 pumps share nothing unsynchronized.
+// RunSharded's contract is byte-identity with RunBarrier, the plain
+// reference replay in export_test.go (shards one after another, one
+// sort, one phase-2 engine): the same TopologyResult for every preset,
+// seed, warmup and summary mode, shard count, ring size and source
+// adapter. The CI race job runs these tests under -race to also
+// certify the shard goroutines, the merger and the phase-2 pumps share
+// nothing unsynchronized.
 
 import (
 	"bytes"
@@ -19,28 +19,30 @@ import (
 	"repro/internal/trace"
 )
 
-func runPipelined(t *testing.T, preset string, shards, ring int, warmup float64, mode stats.Mode, seed int64) *cluster.TopologyResult {
+// shardedRunner is cluster.RunSharded or its cluster.RunBarrier oracle.
+type shardedRunner func(cluster.ShardedSource, cluster.Topology, cluster.Options, int) (*cluster.TopologyResult, error)
+
+func runPreset(t *testing.T, run shardedRunner, preset string, shards, ring int, warmup float64, mode stats.Mode, seed int64) *cluster.TopologyResult {
 	t.Helper()
 	topo, ok := cluster.PresetTopology(preset)
 	if !ok {
 		t.Fatalf("unknown preset %q", preset)
 	}
 	src := cluster.GenShards(presetSpec(topo.Tiers[0].Sites, seed))
-	res, err := cluster.RunSharded(src, topo, cluster.Options{
+	res, err := run(src, topo, cluster.Options{
 		Warmup:       warmup,
 		Seed:         seed,
 		Summary:      mode,
-		Pipeline:     true,
 		PipelineRing: ring,
 	}, shards)
 	if err != nil {
-		t.Fatalf("preset %s pipelined with %d shards: %v", preset, shards, err)
+		t.Fatalf("preset %s with %d shards: %v", preset, shards, err)
 	}
 	return res
 }
 
 // TestPipelinedMatchesBarrier: whole TopologyResults are bit-identical
-// between the pipelined and barrier backends across all shipped
+// between RunSharded and the RunBarrier oracle across all shipped
 // presets (hetero-paths carries a shared-tier autoscaler, so the
 // blocking-pump discipline under controller ticks is covered), seeds,
 // warmup and summary modes, and shard counts. The ring-4 variant
@@ -60,16 +62,16 @@ func TestPipelinedMatchesBarrier(t *testing.T) {
 				{"bounded", 0, stats.Bounded},
 				{"bounded-warmup", 30, stats.Bounded},
 			} {
-				want := runSharded(t, preset, 1, tc.warmup, tc.mode, seed)
+				want := runPreset(t, cluster.RunBarrier, preset, 1, 0, tc.warmup, tc.mode, seed)
 				if want.Offered == 0 {
 					t.Fatalf("%s/%s: no requests offered; test is vacuous", preset, tc.label)
 				}
 				for _, shards := range []int{1, 2, 3, 8} {
-					got := runPipelined(t, preset, shards, 0, tc.warmup, tc.mode, seed)
+					got := runPreset(t, cluster.RunSharded, preset, shards, 0, tc.warmup, tc.mode, seed)
 					compareTopologyResults(t,
 						preset+"/"+tc.label+"/pipelined", want, got)
 				}
-				got := runPipelined(t, preset, 4, 4, tc.warmup, tc.mode, seed)
+				got := runPreset(t, cluster.RunSharded, preset, 4, 4, tc.warmup, tc.mode, seed)
 				compareTopologyResults(t,
 					preset+"/"+tc.label+"/pipelined-ring4", want, got)
 			}
@@ -77,18 +79,17 @@ func TestPipelinedMatchesBarrier(t *testing.T) {
 	}
 }
 
-// TestPipelinedSourcesAgree: the pipelined backend is source-agnostic —
-// lazy generator ranges, materialized trace filtering and re-scanned
-// streaming CSV decoders all reproduce the barrier generator baseline.
+// TestPipelinedSourcesAgree: RunSharded is source-agnostic — lazy
+// generator ranges, materialized trace filtering and re-scanned
+// streaming CSV decoders all reproduce the RunBarrier generator
+// baseline.
 func TestPipelinedSourcesAgree(t *testing.T) {
 	const sites = 5
 	topo := spillTopology(sites)
 	opts := cluster.Options{Warmup: 20, Seed: 11, Summary: stats.Exact}
-	popts := opts
-	popts.Pipeline = true
 	mk := func() cluster.GenSpec { return presetSpec(sites, 7) }
 
-	want, err := cluster.RunSharded(cluster.GenShards(mk()), topo, opts, 1)
+	want, err := cluster.RunBarrier(cluster.GenShards(mk()), topo, opts, 1)
 	if err != nil {
 		t.Fatalf("generator baseline: %v", err)
 	}
@@ -96,13 +97,13 @@ func TestPipelinedSourcesAgree(t *testing.T) {
 		t.Fatal("baseline offered no requests; test is vacuous")
 	}
 
-	got, err := cluster.RunSharded(cluster.GenShards(mk()), topo, popts, 2)
+	got, err := cluster.RunSharded(cluster.GenShards(mk()), topo, opts, 2)
 	if err != nil {
 		t.Fatalf("pipelined generator: %v", err)
 	}
 	compareTopologyResults(t, "pipelined-gen", want, got)
 
-	got, err = cluster.RunSharded(cluster.TraceShards(cluster.Generate(mk())), topo, popts, 3)
+	got, err = cluster.RunSharded(cluster.TraceShards(cluster.Generate(mk())), topo, opts, 3)
 	if err != nil {
 		t.Fatalf("pipelined trace source: %v", err)
 	}
@@ -114,16 +115,15 @@ func TestPipelinedSourcesAgree(t *testing.T) {
 	}
 	csv := buf.String()
 	factory := func() cluster.Source { return trace.StreamRequestsCSV(strings.NewReader(csv)) }
-	got, err = cluster.RunSharded(cluster.SourceShards(factory, sites), topo, popts, 4)
+	got, err = cluster.RunSharded(cluster.SourceShards(factory, sites), topo, opts, 4)
 	if err != nil {
 		t.Fatalf("pipelined csv source: %v", err)
 	}
 	compareTopologyResults(t, "pipelined-csv", want, got)
 }
 
-// TestPipelinedAzureSource: the Azure per-bin decoder through the
-// pipelined backend matches the barrier baseline at several shard
-// counts.
+// TestPipelinedAzureSource: the Azure per-bin decoder through
+// RunSharded matches the RunBarrier baseline at several shard counts.
 func TestPipelinedAzureSource(t *testing.T) {
 	const azureCSV = `bin,s0,s1,s2,s3
 0,40,55,35,20
@@ -140,7 +140,7 @@ func TestPipelinedAzureSource(t *testing.T) {
 	sites := probe.Sites()
 
 	topo := spillTopology(sites)
-	want, err := cluster.RunSharded(cluster.SourceShards(factory, sites), topo,
+	want, err := cluster.RunBarrier(cluster.SourceShards(factory, sites), topo,
 		cluster.Options{Seed: 5, Summary: stats.Exact}, 1)
 	if err != nil {
 		t.Fatalf("azure baseline: %v", err)
@@ -150,7 +150,7 @@ func TestPipelinedAzureSource(t *testing.T) {
 	}
 	for _, shards := range []int{2, sites} {
 		got, err := cluster.RunSharded(cluster.SourceShards(factory, sites), topo,
-			cluster.Options{Seed: 5, Summary: stats.Exact, Pipeline: true}, shards)
+			cluster.Options{Seed: 5, Summary: stats.Exact}, shards)
 		if err != nil {
 			t.Fatalf("pipelined azure %d shards: %v", shards, err)
 		}
@@ -167,7 +167,7 @@ func TestPipelinedSourceErrorSurfaces(t *testing.T) {
 	factory := func() cluster.Source { return trace.StreamRequestsCSV(strings.NewReader(bad)) }
 	topo := spillTopology(2)
 	_, err := cluster.RunSharded(cluster.SourceShards(factory, 2), topo,
-		cluster.Options{Seed: 1, Pipeline: true}, 2)
+		cluster.Options{Seed: 1}, 2)
 	if err == nil {
 		t.Fatal("want a decode error from the pipelined run, got none")
 	}
@@ -176,15 +176,15 @@ func TestPipelinedSourceErrorSurfaces(t *testing.T) {
 	}
 }
 
-// TestPipelinedRejections: the pipelined backend refuses exactly what
-// the barrier backend refuses, with the same error text.
+// TestPipelinedRejections: RunSharded refuses the options that observe
+// global event order, naming them.
 func TestPipelinedRejections(t *testing.T) {
 	topo := spillTopology(3)
 	src := func() cluster.ShardedSource { return cluster.GenShards(presetSpec(3, 1)) }
-	if _, err := cluster.RunSharded(src(), topo, cluster.Options{Pipeline: true, TimelineBin: 1}, 2); err == nil || !strings.Contains(err.Error(), "TimelineBin") {
+	if _, err := cluster.RunSharded(src(), topo, cluster.Options{TimelineBin: 1}, 2); err == nil || !strings.Contains(err.Error(), "TimelineBin") {
 		t.Fatalf("want timeline rejection, got %v", err)
 	}
-	if _, err := cluster.RunSharded(src(), topo, cluster.Options{Pipeline: true, Probe: func(int) {}}, 2); err == nil || !strings.Contains(err.Error(), "Probe") {
+	if _, err := cluster.RunSharded(src(), topo, cluster.Options{Probe: func(int) {}}, 2); err == nil || !strings.Contains(err.Error(), "Probe") {
 		t.Fatalf("want probe rejection, got %v", err)
 	}
 }
@@ -192,8 +192,8 @@ func TestPipelinedRejections(t *testing.T) {
 // partitionTopology splits the shared phase into two independent spill
 // components: sites enter at edge-a by default, the back half is
 // pinned to edge-b by a class rule, and each edge tier spills to its
-// own central pool. With no scaler on either pool, the pipelined
-// backend replays the two components on parallel phase-2 engines.
+// own central pool. With no scaler on either pool, RunSharded replays
+// the two components on parallel phase-2 engines.
 func partitionTopology(sites int) cluster.Topology {
 	detour := netem.CloudTypical
 	pinned := make([]int, 0, sites/2)
@@ -233,7 +233,7 @@ func TestPipelinedParallelPartitions(t *testing.T) {
 	mk := func() cluster.GenSpec { return presetSpec(sites, 13) }
 	opts := cluster.Options{Warmup: 15, Seed: 9, Summary: stats.Exact}
 
-	want, err := cluster.RunSharded(cluster.GenShards(mk()), topo, opts, 1)
+	want, err := cluster.RunBarrier(cluster.GenShards(mk()), topo, opts, 1)
 	if err != nil {
 		t.Fatalf("barrier baseline: %v", err)
 	}
@@ -252,7 +252,6 @@ func TestPipelinedParallelPartitions(t *testing.T) {
 		{"shards4-ring8", 4, 8},
 	} {
 		popts := opts
-		popts.Pipeline = true
 		popts.PipelineRing = tc.ring
 		got, err := cluster.RunSharded(cluster.GenShards(mk()), topo, popts, tc.shards)
 		if err != nil {
@@ -295,7 +294,6 @@ func TestPipelinedBacklogBounded(t *testing.T) {
 		res, err := cluster.RunSharded(cluster.GenShards(spec), topo, cluster.Options{
 			Seed:         21,
 			Summary:      stats.Bounded,
-			Pipeline:     true,
 			PipelineRing: ring,
 			BacklogProbe: func(p int) { peak = p },
 		}, shards)

@@ -28,24 +28,6 @@ func presetSpec(sites int, seed int64) cluster.GenSpec {
 	}
 }
 
-func runSharded(t *testing.T, preset string, shards int, warmup float64, mode stats.Mode, seed int64) *cluster.TopologyResult {
-	t.Helper()
-	topo, ok := cluster.PresetTopology(preset)
-	if !ok {
-		t.Fatalf("unknown preset %q", preset)
-	}
-	src := cluster.GenShards(presetSpec(topo.Tiers[0].Sites, seed))
-	res, err := cluster.RunSharded(src, topo, cluster.Options{
-		Warmup:  warmup,
-		Seed:    seed,
-		Summary: mode,
-	}, shards)
-	if err != nil {
-		t.Fatalf("preset %s with %d shards: %v", preset, shards, err)
-	}
-	return res
-}
-
 // TestShardCountInvariance: whole TopologyResults are bit-identical
 // for every shard count, across all shipped presets, seeds, warmup and
 // summary modes. Shard count 8 exceeds the presets' 5 sites, proving
@@ -69,7 +51,7 @@ func TestShardCountInvariance(t *testing.T) {
 				{"bounded", 0, stats.Bounded},
 				{"bounded-warmup", 30, stats.Bounded},
 			} {
-				want := runSharded(t, preset, 1, tc.warmup, tc.mode, seed)
+				want := runPreset(t, cluster.RunSharded, preset, 1, 0, tc.warmup, tc.mode, seed)
 				if want.Offered == 0 {
 					t.Fatalf("%s/%s: no requests offered; test is vacuous", preset, tc.label)
 				}
@@ -78,7 +60,7 @@ func TestShardCountInvariance(t *testing.T) {
 						want.Offered, want.Consumed)
 				}
 				for _, shards := range []int{2, 3, 4, 8} {
-					got := runSharded(t, preset, shards, tc.warmup, tc.mode, seed)
+					got := runPreset(t, cluster.RunSharded, preset, shards, 0, tc.warmup, tc.mode, seed)
 					compareTopologyResults(t,
 						preset+"/"+tc.label+"/shards", want, got)
 				}

@@ -47,19 +47,19 @@ type Options struct {
 	// strict event order, so results are bit-identical either way; the
 	// equivalence suite runs both to prove it.
 	Backend sim.Backend
-	// Pipeline selects the watermark-pipelined sharded backend: phase 2
-	// overlaps phase 1 and boundary memory is bounded by PipelineRing.
-	// Read by RunSharded (which delegates to RunPipelined); ignored by
-	// Run.
+	// Pipeline has no effect.
+	//
+	// Deprecated: RunSharded has a single backend, which always overlaps
+	// its phases through bounded rings.
 	Pipeline bool
-	// PipelineRing bounds each shard's boundary ring in records (0 =
-	// default). Smaller rings mean tighter memory and more backpressure
-	// stalls; results are identical either way.
+	// PipelineRing bounds each shard's boundary ring in RunSharded, in
+	// records (0 = default). Smaller rings mean tighter memory and more
+	// backpressure stalls; results are identical either way.
 	PipelineRing int
-	// BacklogProbe, when set on a pipelined run, receives the peak
+	// BacklogProbe, when set on a RunSharded run, receives the peak
 	// count of resident boundary records — captured by phase 1 but not
 	// yet admitted to a phase-2 engine — after the run completes (a
-	// diagnostic for the bounded-memory property). Ignored elsewhere.
+	// diagnostic for the bounded-memory property). Ignored by Run.
 	BacklogProbe func(peak int)
 	// GenWorkers selects how many goroutines generate workload records
 	// when the run's source comes from a GenSpec (see GenSource):

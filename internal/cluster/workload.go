@@ -110,31 +110,48 @@ type GenSpec struct {
 // simulator to the paper's measured crossover points (see EXPERIMENTS.md).
 const DefaultArrivalSCV = 0.4
 
+// Validate reports the first field that cannot produce a workload.
+// PerSiteRate and ArrivalSCV are checked only when Arrivals is nil,
+// since explicit processes override them.
+func (spec GenSpec) Validate() error {
+	scv := spec.ArrivalSCV
+	switch {
+	case spec.Sites <= 0:
+		return fmt.Errorf("cluster: GenSpec.Sites must be positive, got %d", spec.Sites)
+	case !positiveFinite(spec.Duration):
+		return fmt.Errorf("cluster: GenSpec.Duration must be positive and finite, got %v", spec.Duration)
+	case spec.Arrivals != nil && len(spec.Arrivals) != spec.Sites:
+		return fmt.Errorf("cluster: %d arrival processes for %d sites", len(spec.Arrivals), spec.Sites)
+	case spec.Arrivals != nil:
+		return nil
+	case !positiveFinite(spec.PerSiteRate):
+		return fmt.Errorf("cluster: GenSpec needs a positive finite PerSiteRate or Arrivals, got rate %v", spec.PerSiteRate)
+	case scv < 0 || math.IsNaN(scv) || math.IsInf(scv, 0):
+		return fmt.Errorf("cluster: GenSpec.ArrivalSCV must be finite and >= 0, got %v", scv)
+	}
+	return nil
+}
+
+// positiveFinite rejects NaN as well: ordered comparisons are false for
+// NaN, so "x <= 0" alone would accept a NaN duration and generate
+// forever.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
 // deriveArrivals validates the spec, defaults its model in place, and
 // returns the per-site arrival processes. Shared by Generate and
 // Stream so the two paths cannot drift apart — their bit-identical
-// guarantee starts here.
+// guarantee starts here. An invalid spec panics with Validate's error:
+// callers taking user input call Validate first.
 func deriveArrivals(spec *GenSpec) []workload.ArrivalProcess {
-	if spec.Sites <= 0 {
-		panic(fmt.Sprintf("cluster: GenSpec.Sites=%d invalid", spec.Sites))
-	}
-	// NaN/Inf checked explicitly: ordered comparisons are false for NaN,
-	// so "x <= 0" alone would accept a NaN duration and generate forever.
-	if spec.Duration <= 0 || math.IsNaN(spec.Duration) || math.IsInf(spec.Duration, 0) {
-		panic(fmt.Sprintf("cluster: GenSpec.Duration must be positive and finite, got %v", spec.Duration))
+	if err := spec.Validate(); err != nil {
+		panic(err)
 	}
 	if spec.Model.D == nil {
 		spec.Model = app.NewInferenceModel()
 	}
 	procs := spec.Arrivals
 	if procs == nil {
-		if spec.PerSiteRate <= 0 || math.IsNaN(spec.PerSiteRate) || math.IsInf(spec.PerSiteRate, 0) {
-			panic(fmt.Sprintf("cluster: GenSpec needs a positive finite PerSiteRate or Arrivals, got rate %v", spec.PerSiteRate))
-		}
 		scv := spec.ArrivalSCV
-		if scv < 0 || math.IsNaN(scv) || math.IsInf(scv, 0) {
-			panic(fmt.Sprintf("cluster: GenSpec.ArrivalSCV must be finite and >= 0, got %v", scv))
-		}
 		if scv == 0 {
 			scv = DefaultArrivalSCV
 		}
@@ -142,8 +159,6 @@ func deriveArrivals(spec *GenSpec) []workload.ArrivalProcess {
 		for i := range procs {
 			procs[i] = workload.NewRenewal(dist.FitSCV(1/spec.PerSiteRate, scv))
 		}
-	} else if len(procs) != spec.Sites {
-		panic(fmt.Sprintf("cluster: %d arrival processes for %d sites", len(procs), spec.Sites))
 	}
 	if spec.PiecewiseEnvelope {
 		// Flip NHPP processes to piecewise on private copies: the
