@@ -139,9 +139,10 @@ func main() {
 	azureFile := flag.String("azure", "", "with -topology: replay an Azure-style per-bin count CSV "+
 		"(bin,site0,site1,...) instead of generating a workload; with -sweep, rescaled like -trace")
 	azureBin := flag.Float64("azure-bin", 60, "with -azure: seconds covered by each CSV bin row")
-	genWorkers := flag.String("gen-workers", "serial", "parallel workers for synthetic workload generation: "+
-		"serial, auto (one per CPU), or an explicit count — every setting produces the bit-identical record "+
-		"sequence, so this only changes generation throughput")
+	genWorkers := flag.String("gen-workers", "serial", "generator workers for synthetic workloads: serial "+
+		"(one generator goroutine, which a streamed replay already overlaps with its engine), auto (one per "+
+		"CPU), or an explicit count N of worker goroutines that replace it — every setting produces the "+
+		"bit-identical record sequence, so this only changes generation throughput")
 	compileOut := flag.String("compile", "", "convert the -trace/-azure input to this file and exit: a .csv "+
 		"extension writes the request CSV format, anything else the .etb binary trace format; replay the "+
 		"output later with -trace (the format is auto-detected)")
@@ -158,6 +159,14 @@ func main() {
 		"labels (generate, phase-1, merge, phase-2) for go tool pprof -tagfocus")
 	memprofile := flag.String("memprofile", "", "write an end-of-run heap profile to this file")
 	flag.Parse()
+	// exitCode is the status main exits with once its deferred output
+	// has printed; fail() exits at once instead.
+	exitCode := 0
+	defer func() {
+		if exitCode != 0 {
+			os.Exit(exitCode)
+		}
+	}()
 	shardsSet := false
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "shards" {
@@ -242,6 +251,14 @@ func main() {
 		runCompile(in, *compileOut)
 		return
 	}
+	if math.IsNaN(*warmup) || math.IsInf(*warmup, 0) || *warmup < 0 {
+		fail("-warmup must be finite and >= 0 (got %v)", *warmup)
+	}
+	if !in.active() && *duration > 0 && *warmup >= *duration {
+		// A non-positive -duration is left to the workload check, which
+		// names it.
+		fail("-warmup %v must be below -duration %v: every sample would be discarded", *warmup, *duration)
+	}
 	if *stream && mode == stats.Exact {
 		// Legitimate at modest scales (exact quantiles without the
 		// trace), but at the request counts -stream exists for, exact
@@ -282,6 +299,9 @@ func main() {
 		rates, err := parseRates(*grid)
 		if err != nil {
 			fail("-grid: %v", err)
+		}
+		for _, r := range rates {
+			checkGen(cluster.GenSpec{Sites: *sites, Duration: *duration, PerSiteRate: r, ArrivalSCV: *arrivalSCV})
 		}
 		budgets, err := parseInts(*gridBudgets)
 		if err != nil {
@@ -449,16 +469,31 @@ func main() {
 	}
 
 	fmt.Println()
+	line, ok := verdict(edge, cloud)
+	fmt.Println(line)
+	if !ok {
+		exitCode = 1
+	}
+}
+
+// verdict names the deployment that wins on mean and on p95 latency. It
+// refuses (ok=false) when either side kept no post-warm-up sample: the
+// latencies of an empty digest read 0 and would crown a winner over
+// nothing.
+func verdict(edge, cloud *cluster.Result) (line string, ok bool) {
+	if edge.EndToEnd.N() == 0 || cloud.EndToEnd.N() == 0 {
+		return fmt.Sprintf("verdict: none — no post-warm-up samples to compare (edge n=%d, cloud n=%d); "+
+			"lengthen -duration or shorten -warmup.", edge.EndToEnd.N(), cloud.EndToEnd.N()), false
+	}
 	switch {
 	case edge.MeanLatency() > cloud.MeanLatency() && edge.P95Latency() > cloud.P95Latency():
-		fmt.Println("verdict: PERFORMANCE INVERSION — the cloud wins on both mean and p95.")
+		return "verdict: PERFORMANCE INVERSION — the cloud wins on both mean and p95.", true
 	case edge.MeanLatency() > cloud.MeanLatency():
-		fmt.Println("verdict: mean-latency inversion (cloud wins on mean; edge wins on p95).")
+		return "verdict: mean-latency inversion (cloud wins on mean; edge wins on p95).", true
 	case edge.P95Latency() > cloud.P95Latency():
-		fmt.Println("verdict: tail inversion — edge wins on mean but the cloud wins on p95.")
-	default:
-		fmt.Println("verdict: the edge wins on both mean and p95.")
+		return "verdict: tail inversion — edge wins on mean but the cloud wins on p95.", true
 	}
+	return "verdict: the edge wins on both mean and p95.", true
 }
 
 // loadTopology resolves the -topology flag: a shipped preset name, an

@@ -69,10 +69,15 @@ func main() {
 		names = append(names, f.name)
 	}
 	if !slices.Contains(names, *fig) {
-		fmt.Fprintf(os.Stderr, "figures: unknown -fig %q (want one of %s)\n", *fig, strings.Join(names, ", "))
-		os.Exit(2)
+		usage("unknown -fig %q (want one of %s)", *fig, strings.Join(names, ", "))
 	}
 
+	if !(*duration > 0) || math.IsInf(*duration, 1) {
+		usage("-duration must be positive and finite (got %v)", *duration)
+	}
+	if *workers < 0 {
+		usage("-workers must be >= 0 (got %d)", *workers)
+	}
 	if *workers > 0 {
 		experiments.DefaultWorkers = *workers
 	}
@@ -90,6 +95,13 @@ func main() {
 			f.fn()
 		}
 	}
+}
+
+// usage reports a bad flag value as one stderr line and exits with
+// status 2 before any figure runs.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "figures: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 // admissionCost renders the rejection-vs-cost trade: one overloaded

@@ -9,10 +9,10 @@ import (
 	"testing"
 )
 
-// TestUnknownFigureExit2: an unregistered -fig name is refused before
-// any figure runs — exit status 2, nothing on stdout, and one stderr
-// line that lists the valid names — where it used to exit 0 silently.
-func TestUnknownFigureExit2(t *testing.T) {
+// buildFigures compiles this command into a temporary directory, so the
+// tests observe real exit codes and stderr.
+func buildFigures(t *testing.T) string {
+	t.Helper()
 	gobin, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("go toolchain not on PATH; cannot build the command")
@@ -21,11 +21,18 @@ func TestUnknownFigureExit2(t *testing.T) {
 	if out, err := exec.Command(gobin, "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	return bin
+}
 
+// TestUnknownFigureExit2: an unregistered -fig name is refused before
+// any figure runs — exit status 2, nothing on stdout, and one stderr
+// line that lists the valid names — where it used to exit 0 silently.
+func TestUnknownFigureExit2(t *testing.T) {
+	bin := buildFigures(t)
 	var stdout, stderr bytes.Buffer
 	cmd := exec.Command(bin, "-fig", "bogus")
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err = cmd.Run()
+	err := cmd.Run()
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 		t.Errorf("want exit status 2, got %v", err)
@@ -47,5 +54,40 @@ func TestUnknownFigureExit2(t *testing.T) {
 	out, err := exec.Command(bin, "-fig", "tail").Output()
 	if err != nil || !strings.Contains(string(out), "Figure/Table tail") {
 		t.Errorf("-fig tail: err %v, output:\n%s", err, out)
+	}
+}
+
+// TestBadFlagsExit2: a -duration that cannot run a sweep, or a negative
+// -workers, is refused before any figure runs — exit status 2, nothing
+// on stdout, one stderr line naming the flag — where -duration -5 used
+// to run and exit 0.
+func TestBadFlagsExit2(t *testing.T) {
+	bin := buildFigures(t)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-fig", "2", "-duration", "-5"}, "-duration"},
+		{[]string{"-fig", "2", "-duration", "0"}, "-duration"},
+		{[]string{"-fig", "3", "-duration", "NaN"}, "-duration"},
+		{[]string{"-fig", "3", "-duration", "Inf"}, "-duration"},
+		{[]string{"-fig", "3", "-workers", "-1"}, "-workers"},
+	} {
+		name := strings.Join(tc.args, " ")
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, tc.args...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%s: want exit status 2, got %v", name, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: stdout not empty:\n%s", name, stdout.String())
+		}
+		line := stderr.String()
+		if strings.Count(line, "\n") != 1 || !strings.HasPrefix(line, "figures: ") || !strings.Contains(line, tc.want) {
+			t.Errorf("%s: want one stderr line naming %s, got:\n%s", name, tc.want, line)
+		}
 	}
 }

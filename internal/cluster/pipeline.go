@@ -327,6 +327,11 @@ func runPhase2Pump(b *p2build, feed <-chan []p2rec, free chan<- []p2rec, total *
 // global event order, which sharding does not preserve.
 // Options.BacklogProbe, when set, receives the run's peak resident
 // boundary-record count.
+//
+// Each shard's Source.Next runs on that shard's goroutine. RunSharded
+// returns only after every goroutine it started has exited, and a
+// panic in a shard's Source.Next is re-raised on the caller's
+// goroutine.
 func RunSharded(src ShardedSource, topo Topology, opts Options, shards int) (*TopologyResult, error) {
 	r, err := newShardRun(src, topo, opts, shards)
 	if err != nil {
@@ -368,6 +373,15 @@ func RunSharded(src ShardedSource, topo Topology, opts Options, shards int) (*To
 		go pprof.Do(context.Background(), pprof.Labels("phase", "phase-1"), func(context.Context) {
 			defer shardWG.Done()
 			pub := &pipePublisher{grp: grp, ring: k, gauge: gauge}
+			defer func() {
+				// A panic in the shard's Source.Next is re-raised on the
+				// caller's goroutine once every stage has drained; the
+				// ring must still close, or the merger would wait on it.
+				if v := recover(); v != nil {
+					st.panicked, st.panicVal = true, v
+					pub.finish()
+				}
+			}()
 			runShardPhase1(r.topo, r.plan, st, src.Shard(st.lo, st.hi), opts, r.netSeeds, pub)
 		})
 	}
@@ -382,7 +396,9 @@ func RunSharded(src ShardedSource, topo Topology, opts Options, shards int) (*To
 		frees[p] = make(chan []p2rec, 4)
 	}
 	var total uint64
+	mergeDone := make(chan struct{})
 	go pprof.Do(context.Background(), pprof.Labels("phase", "merge"), func(context.Context) {
+		defer close(mergeDone)
 		popped := make([]boundaryRec, 0, pipeBatch)
 		out := make([][]p2rec, len(parts))
 		var nextID uint64
@@ -428,7 +444,13 @@ func RunSharded(src ShardedSource, topo Topology, opts Options, shards int) (*To
 	}
 	shardWG.Wait()
 	p2WG.Wait()
+	<-mergeDone
 
+	for _, st := range r.states {
+		if st.panicked {
+			panic(st.panicVal)
+		}
+	}
 	for _, st := range r.states {
 		if st.err != nil {
 			return nil, st.err

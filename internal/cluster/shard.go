@@ -184,6 +184,10 @@ type shardState struct {
 
 	eng *sim.Engine
 	err error
+	// panicked and panicVal hold a panic recovered on the shard's
+	// goroutine until RunSharded re-raises it.
+	panicked bool
+	panicVal any
 }
 
 // Consume implements queue.Sink.

@@ -7,6 +7,12 @@ package cluster
 // by trace length. WorkloadTrace implements the interface over its
 // materialized records; synthetic sources can generate records on the
 // fly and replay arbitrarily long workloads in constant space.
+//
+// Run and RunBroadcast call Next on a producer goroutine other than the
+// caller's, a few batches ahead of the engine, and return only after
+// that goroutine has exited. A source must therefore not share mutable
+// state with the caller during the run; reading its state after Run
+// returns is safe.
 type Source interface {
 	// Next returns the next record, or ok=false when the source is
 	// exhausted. Records must be yielded in nondecreasing Time order;

@@ -63,8 +63,10 @@ type Options struct {
 	BacklogProbe func(peak int)
 	// GenWorkers selects how many goroutines generate workload records
 	// when the run's source comes from a GenSpec (see GenSource):
-	// 0 or 1 = the serial Stream, N > 1 = ParallelStream with N
-	// workers, -1 = one per CPU. Records are bit-identical either way;
+	// 0 or 1 = the serial Stream, which Run pulls on its one producer
+	// goroutine; N > 1 = ParallelStream with N worker goroutines, read
+	// directly; -1 = one per CPU. Either way Next runs on a goroutine
+	// other than the caller's. Records are bit-identical either way;
 	// only wall-clock changes.
 	GenWorkers int
 }
@@ -373,6 +375,14 @@ func (s *topoSink) Consume(e *sim.Engine, r *queue.Request) {
 // Result. The four legacy runners are thin wrappers over Run and stay
 // bit-identical to their pre-topology implementations (see the
 // equivalence suite).
+//
+// src.Next runs on a producer goroutine, not the caller's, so
+// generation or decode overlaps the engine; the records and every
+// result are the same as a direct pull. A source already produced on
+// other goroutines (a RunBroadcast ring, ParallelStream) or held in
+// memory (WorkloadTrace.Source) is read directly. Run returns only
+// after the producer goroutine has exited, and a panic in src.Next is
+// re-raised on the caller's goroutine.
 func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 	topo = topo.normalized()
 	if err := topo.Validate(); err != nil {
@@ -571,6 +581,15 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 	for _, rt := range x.tiers {
 		stations = append(stations, rt.stations...)
 	}
+	// Pull the source on a producer goroutine, so generation or decode
+	// overlaps the engine. Started only now, so a construction error
+	// above never touches the source; the deferred stop joins the
+	// producer on every exit, a panic included.
+	if !producedElsewhere(src) {
+		p := startProducer(src, 1, serialRing)
+		defer p.stop()
+		f.src = p.ring(0)
+	}
 	runDeployment(eng, f, &res.Result, stations)
 	for _, c := range ctrls {
 		c.Stop()
@@ -578,7 +597,7 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 	// A source that ended on a decode failure (FallibleSource) must
 	// surface it: a replay over the decoded prefix would look like a
 	// clean result over a silently truncated workload.
-	if e, ok := src.(FallibleSource); ok {
+	if e, ok := f.src.(FallibleSource); ok {
 		if err := e.Err(); err != nil {
 			return nil, fmt.Errorf("cluster: source failed after %d records: %w", f.count, err)
 		}

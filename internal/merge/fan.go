@@ -76,10 +76,12 @@ func (f *Fan[T]) Publish(recs []T) bool {
 			if r.detached {
 				continue
 			}
-			for _, v := range recs[:free] {
-				r.buf[(r.head+r.n)%len(r.buf)] = v
-				r.n++
-			}
+			// At most two segments: up to the end of the buffer, then
+			// wrapped to its start.
+			tail := (r.head + r.n) % len(r.buf)
+			k := copy(r.buf[tail:], recs[:free])
+			copy(r.buf, recs[k:free])
+			r.n += free
 			f.occ += free
 		}
 		if f.occ > f.peak {
@@ -134,11 +136,12 @@ func (f *Fan[T]) NextBatch(i int, dst []T, max int) ([]T, bool) {
 			if take > max {
 				take = max
 			}
-			for k := 0; k < take; k++ {
-				dst = append(dst, r.buf[r.head])
-				r.head = (r.head + 1) % len(r.buf)
-				r.n--
-			}
+			// At most two segments, as in Publish.
+			first := min(take, len(r.buf)-r.head)
+			dst = append(dst, r.buf[r.head:r.head+first]...)
+			dst = append(dst, r.buf[:take-first]...)
+			r.head = (r.head + take) % len(r.buf)
+			r.n -= take
 			f.occ -= take
 			f.change.Broadcast() // wake a producer blocked on this ring
 			return dst, true
